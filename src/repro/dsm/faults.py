@@ -578,6 +578,10 @@ class FaultTransport(Transport):
         }
         self._k_dup_reply = intern_key("fault", "dup_reply_suppressed")
         self._obs = machine.tracer.tracer("faults") if machine.tracer is not None else None
+        if machine.tracer is not None:
+            # Replies bypass the machine's delivery path, so the traced
+            # twin emits the msg.send/msg.recv the machine's would.
+            self.reply = self._reply_traced
         #: bounded in-memory fault log: (cycle, verdict, category, src, dst)
         self.log: list = []
         self.watchdog = LivenessWatchdog(self)
@@ -629,6 +633,42 @@ class FaultTransport(Transport):
             counts["msg.total"] += 1
             counts["msg.words"] += payload_words
             self.sim.schedule(base_delay + extra, partial(self._resolve_once, fut, value))
+
+    def _reply_traced(self, fut, value=None, payload_words: int = 0, category: str = "am.reply"):
+        # reply() plus events: the same verdict, counter bumps and
+        # schedule draws, so simulated cycles do not move.  Like
+        # Machine._reply_traced, the events sit on the global track.
+        deliveries = self._verdict(None, None, category)
+        if deliveries is None:
+            return
+        machine = self.machine
+        obs = machine._obs
+        parent = machine._ctx()
+        counts = self._counts
+        key = machine._msg_key(category)
+        base_delay = self._reply_base + self._per_word * payload_words
+        data = {"category": category, "words": payload_words}
+        for extra in deliveries:
+            counts[key] += 1
+            counts["msg.total"] += 1
+            counts["msg.words"] += payload_words
+            eid = obs.emit(self.sim.now, "msg.send", parent=parent, data=data)
+            self.sim.schedule(
+                base_delay + extra,
+                partial(self._resolve_once_traced, eid, category, fut, value),
+            )
+
+    def _resolve_once_traced(self, parent_eid, category, fut, value) -> None:
+        eid = self.machine._obs.emit(
+            self.sim.now,
+            "msg.recv",
+            parent=parent_eid,
+            data={"category": category, "future": fut.name},
+        )
+        if fut._value is _UNSET and fut._exc is None:
+            # Stamp the waker, as Machine._reply_arrive_traced does.
+            fut._obs_eid = eid
+        self._resolve_once(fut, value)
 
     def _resolve_once(self, fut, value) -> None:
         # Duplicated replies, replayed recorded replies, and late

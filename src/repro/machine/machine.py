@@ -91,6 +91,12 @@ class Machine:
         self._reply_base = self.config.am_send_overhead + self._recv_base
         self._per_word = self.config.per_word_transfer
         self._d_send = Delay(self.config.am_send_overhead)
+        # Completed round trips through rpc() and the cycles their
+        # callers spent waiting on them (send overhead, both wire legs,
+        # handler work).  Plain attributes, not Stats keys, so snapshots
+        # keep their shape; both rpc variants keep them.
+        self.rpc_count = 0
+        self.rpc_stall = 0
         # Observability (DESIGN.md §7): decided once, here.  Traced
         # variants shadow the class methods via instance attributes;
         # their scheduling (delay, seq) streams are identical to the
@@ -351,6 +357,8 @@ class Machine:
         # Recorded per node so run_summary can show both the cluster
         # aggregate (via Histogram.merge) and per-node tails.
         lat = self.sim.now - t0
+        self.rpc_count += 1
+        self.rpc_stall += lat
         hist = self._rpc_hist_cache.get((src, category))
         if hist is None:
             hist = self._rpc_hist_cache[(src, category)] = self.tracer.hist(
@@ -426,11 +434,14 @@ class Machine:
         if name is None:
             name = self._rpc_names[category] = intern_key("rpc:" + category)
         fut = Future(name=name)
+        t0 = self.sim.now
         # am_request, inlined: the delegation frame would otherwise sit
         # on the resume path of every round trip in the system.
         yield self._d_send
         self._deliver(src, dst, handler, (fut, *args), payload_words, category)
         value = yield fut
+        self.rpc_count += 1
+        self.rpc_stall += self.sim.now - t0
         return value
 
     def reply(self, fut: Future, value=None, payload_words: int = 0, category: str = "am.reply") -> None:

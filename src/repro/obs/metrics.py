@@ -1,4 +1,4 @@
-"""Windowed time-series metrics: cheap enough to leave on.
+"""Windowed time-series metrics over the trace event stream.
 
 A :class:`MetricsWindow` divides simulated time into fixed-width
 windows and keeps a handful of counters per window — message mix,
@@ -7,8 +7,12 @@ transitions (per state and per region).  It attaches to a
 :class:`~repro.obs.trace.TraceBuffer` at construction
 (``TraceBuffer(metrics=...)``) and is fed **inline at emit time**, so
 it sees every event exactly once even after the ring has evicted it.
-A small ring plus a metrics window is the "leave it on" configuration:
-bounded memory, full-run time series.
+A small ring plus a metrics window gives a full-run time series in
+bounded memory.  It still needs a traced run, which costs wall time, so
+nothing attaches one by default: whole-run totals are read from
+counters the untraced path keeps (the ``msg.*`` Stats counters and
+``Machine.rpc_count``/``rpc_stall``), through the same
+:func:`stall_fraction`.
 
 The cost model matters: :meth:`observe` runs for *every* traced event,
 so the first line is a frozenset membership test that rejects the
@@ -34,6 +38,17 @@ from collections import Counter
 #: Event kinds a MetricsWindow accumulates; everything else is rejected
 #: by one frozenset probe.
 TRACKED_KINDS = frozenset({"msg.send", "rpc.return", "region.state", "task.block"})
+
+
+def stall_fraction(stall: int, total_cycles: int, n_nodes: int) -> float | None:
+    """RPC stall cycles over node-cycles (``total_cycles * n_nodes``).
+
+    The fraction of aggregate capacity spent blocked on round trips,
+    rounded to four places; a degenerate shape (zero cycles or zero
+    nodes, an empty run) gives ``None`` rather than dividing by zero.
+    """
+    capacity = total_cycles * n_nodes
+    return round(stall / capacity, 4) if capacity else None
 
 
 class MetricsWindow:
@@ -133,11 +148,9 @@ class MetricsWindow:
     def summary(self, total_cycles: int | None = None, n_nodes: int | None = None) -> dict:
         """Whole-run totals; adds ``stall_fraction`` when the run shape is known.
 
-        ``stall_fraction`` is total RPC stall cycles over total node-cycles
-        (``total_cycles * n_nodes``) — the fraction of aggregate capacity
-        spent blocked on round trips.  A degenerate shape (zero cycles or
-        zero nodes — an empty run) reports ``stall_fraction: None`` rather
-        than dividing by zero or silently omitting the key.
+        ``stall_fraction`` is :func:`stall_fraction` over the window's
+        total RPC stall; a degenerate run shape reports ``None`` rather
+        than silently omitting the key.
         """
         totals = Counter()
         mix: Counter = Counter()
@@ -156,8 +169,7 @@ class MetricsWindow:
             "states": dict(sorted(states.items())),
         }
         if total_cycles is not None and n_nodes is not None:
-            capacity = total_cycles * n_nodes
-            out["stall_fraction"] = round(totals["stall"] / capacity, 4) if capacity else None
+            out["stall_fraction"] = stall_fraction(totals["stall"], total_cycles, n_nodes)
         return out
 
     # -- exports ---------------------------------------------------------

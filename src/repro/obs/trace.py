@@ -184,8 +184,8 @@ class TraceBuffer:
         self.hists: dict[str, Histogram] = {}
         # Optional windowed-metrics sink (repro.obs.metrics.MetricsWindow).
         # Fed inline at emit time, so it sees every event even after the
-        # ring has evicted it — a tiny ring plus metrics is the cheap
-        # "leave it on" configuration.  When None, emit() stays the
+        # ring has evicted it — a tiny ring plus metrics gives a full-run
+        # series in bounded memory.  When None, emit() stays the
         # original two-branch append (the common case selects the plain
         # emit body once, at construction).
         self.metrics = metrics

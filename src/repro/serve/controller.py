@@ -5,11 +5,11 @@ protocols are *named, first-class choices* (``Ace_ChangeProtocol``)
 rather than baked into the system, the choice can be revisited while
 the system runs.  :class:`AdaptiveController` closes that loop: at
 every control epoch (a batch barrier in :mod:`repro.serve.service`) it
-samples the live observability counters — the same
-:class:`~repro.machine.stats.Stats` counters and
-:class:`~repro.obs.metrics.MetricsWindow` rows a human operator would
-read — computes each shard's recent read/write mix, and decides
-whether the shard's protocol still fits its traffic.
+samples the live per-shard ``serve.shard<s>.reads`` / ``.writes``
+:class:`~repro.machine.stats.Stats` counters, computes each shard's
+recent read/write mix, and decides whether the shard's protocol still
+fits its traffic.  It reads nothing from tracing, so a run decides
+the same with observability on or off.
 
 Everything here runs **host-side on node 0 between two barriers**: the
 sampling and the decision charge zero simulated cycles, exactly like
@@ -65,7 +65,7 @@ class StaticController:
         self.decisions: list[Decision] = []
         self.switches = 0
 
-    def epoch(self, epoch: int, stats, metrics=None) -> dict[int, str]:
+    def epoch(self, epoch: int, stats) -> dict[int, str]:
         """Return ``{shard: new_protocol}`` — always empty for static."""
         return {}
 
@@ -115,16 +115,13 @@ class AdaptiveController:
         self.decisions: list[Decision] = []
         self.switches = 0
 
-    def epoch(self, epoch: int, stats, metrics=None) -> dict[int, str]:
+    def epoch(self, epoch: int, stats) -> dict[int, str]:
         """Sample counters, return ``{shard: new_protocol}`` for switches.
 
         ``stats`` is the machine's :class:`~repro.machine.stats.Stats`;
         the service bumps ``serve.shard<s>.reads`` / ``.writes`` per
         completed request, so the delta since the previous epoch is the
-        shard's recent mix.  ``metrics`` (a
-        :class:`~repro.obs.metrics.MetricsWindow` or ``None``) rides
-        along in the audit trail; the decision itself keys off the mix
-        so runs with observability fully off behave identically.
+        shard's recent mix.
         """
         changes: dict[int, str] = {}
         for shard in sorted(self._shards):

@@ -37,15 +37,15 @@ reproduce identical cycle counts, switch schedules, and final values.
 from __future__ import annotations
 
 from repro.facade import run_spmd
-from repro.obs import Histogram, MetricsWindow, TraceBuffer
+from repro.obs import Histogram
+from repro.obs.metrics import stall_fraction
 from repro.machine.stats import intern_key
 from repro.serve.controller import AdaptiveController, StaticController
 from repro.serve.workload import ServeWorkload, build_traffic, traffic_digest
 from repro.sim import Delay
 
 
-def serve_program(workload: ServeWorkload, traffic: dict, controller, shared: dict,
-                  metrics: MetricsWindow | None = None):
+def serve_program(workload: ServeWorkload, traffic: dict, controller, shared: dict):
     """Build the per-node SPMD generator for one serving run.
 
     ``shared`` is the host-side exchange dict (region ids, per-epoch
@@ -118,7 +118,7 @@ def serve_program(workload: ServeWorkload, traffic: dict, controller, shared: di
             yield from ctx.barrier()
             if nid == 0:
                 shared["changes"] = sorted(
-                    controller.epoch(e, ctx.machine.stats, metrics).items()
+                    controller.epoch(e, ctx.machine.stats).items()
                 )
             yield from ctx.barrier()
             for s, proto in shared["changes"]:
@@ -138,7 +138,6 @@ def run_serve(
     protocols: dict[int, str] | None = None,
     controller=None,
     n_procs: int = 8,
-    metrics_width: int | None = None,
     fault_plan=None,
     n_dir_shards: int = 1,
     **spmd_kwargs,
@@ -148,11 +147,16 @@ def run_serve(
     Exactly one protocol choice mechanism applies: a ``controller``
     (e.g. :class:`~repro.serve.controller.AdaptiveController`), an
     explicit per-shard ``protocols`` dict, or a uniform ``protocol``
-    name (default ``"SC"``).  ``metrics_width`` attaches a
-    :class:`~repro.obs.MetricsWindow` through a small
-    :class:`~repro.obs.TraceBuffer` — cycle-neutral, and on by default
-    for adaptive runs so the controller's audit trail has the message
-    mix and stall series an operator would be watching.
+    name (default ``"SC"``).
+
+    The run is untraced unless ``tracer=`` (a
+    :class:`~repro.obs.TraceBuffer`) is passed through to ``run_spmd``.
+    ``report["metrics"]`` is built after the run from counters the
+    untraced path keeps anyway: the message totals and mix from the
+    ``msg.*`` Stats counters, RPC count and stall cycles from the
+    machine (see :func:`run_metrics`).  Windowed series need an explicit
+    tracer carrying a :class:`~repro.obs.MetricsWindow`; its summary is
+    added as ``report["metrics"]["window"]``.
     """
     if controller is None:
         if protocols is None:
@@ -164,17 +168,12 @@ def run_serve(
         controller = StaticController(protocols)
     elif protocol is not None or protocols is not None:
         raise ValueError("pass either controller= or protocol(s)=, not both")
-    if metrics_width is None and controller.adaptive:
-        metrics_width = 4096
-    metrics = MetricsWindow(width=metrics_width) if metrics_width else None
-    tracer = TraceBuffer(capacity=1 << 12, metrics=metrics) if metrics else None
-
     initial = dict(controller.protocols)
     traffic = build_traffic(workload, n_procs)
     shared: dict = {"rids": {}, "changes": []}
-    program = serve_program(workload, traffic, controller, shared, metrics)
+    program = serve_program(workload, traffic, controller, shared)
     res = run_spmd(
-        program, backend="ace", n_procs=n_procs, tracer=tracer,
+        program, backend="ace", n_procs=n_procs,
         fault_plan=fault_plan, n_dir_shards=n_dir_shards, **spmd_kwargs,
     )
 
@@ -206,9 +205,37 @@ def run_serve(
         "msgs": stats.get("msg.total"),
         "words": stats.get("msg.words"),
         "shard_mix": shard_mix,
+        "metrics": run_metrics(res),
     }
-    if metrics is not None:
-        report["metrics"] = metrics.summary(res.time, n_procs)
     if controller.adaptive:
         report["decisions"] = controller.audit()
     return res, report
+
+
+def run_metrics(res) -> dict:
+    """Whole-run message and stall totals of a finished run.
+
+    Read from counters the untraced fast path keeps: ``msgs``, ``words``
+    and the per-category ``mix`` from the ``msg.*`` Stats counters,
+    ``rpcs`` and ``stall`` (round-trip cycles) from the machine.  On the
+    same run they equal a :class:`~repro.obs.MetricsWindow`'s totals,
+    whose summary is added under ``"window"`` when the run's trace
+    buffer carries one.  Like the window, ``rpcs`` counts only
+    ``Machine.rpc`` round trips: under a fault plan, protocol calls go
+    through the fault transport and are not counted.
+    """
+    machine, stats = res.machine, res.stats
+    mix = {k[len("msg."):]: v for k, v in stats.with_prefix("msg").items()
+           if k not in ("msg.total", "msg.words")}
+    out = {
+        "msgs": stats.get("msg.total"),
+        "words": stats.get("msg.words"),
+        "rpcs": machine.rpc_count,
+        "stall": machine.rpc_stall,
+        "stall_fraction": stall_fraction(machine.rpc_stall, res.time, machine.n_procs),
+        "mix": dict(sorted(mix.items(), key=lambda kv: (-kv[1], kv[0]))),
+    }
+    buf = machine.tracer
+    if buf is not None and buf.metrics is not None:
+        out["window"] = buf.metrics.summary(res.time, machine.n_procs)
+    return out

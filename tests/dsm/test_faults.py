@@ -180,6 +180,26 @@ def test_faults_observable_in_trace():
     assert "rel.retry" in kinds
 
 
+def test_fault_replies_traced_like_machine_replies():
+    # FaultTransport.reply bypasses the machine's delivery path; its
+    # traced twin must emit one msg.send per delivered copy (so a
+    # window sees every counted message) and stamp the reply receive
+    # as the waker, with the same schedule draws as the untraced path.
+    from repro.obs import MetricsWindow, TraceBuffer
+
+    plan = FaultPlan.canonical(0)
+    plain = run_counter(plan)
+    buf = TraceBuffer(metrics=MetricsWindow())
+    traced = run_counter(plan, tracer=buf)
+    assert traced.time == plain.time
+    assert traced.stats.get("msg.total") == plain.stats.get("msg.total")
+    assert traced.stats.get("fault.dup") >= 1
+    assert buf.metrics.summary()["msgs"] == traced.stats.get("msg.total")
+    evs = buf.events()
+    wakers = {ev.parent for ev in evs if ev.kind == "task.step"}
+    assert any(ev.kind == "msg.recv" and ev.eid in wakers and "future" in ev.data for ev in evs)
+
+
 # ---------------------------------------------------------------------------
 # liveness: silent stalls become structured reports
 # ---------------------------------------------------------------------------

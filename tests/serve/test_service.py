@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dsm.faults import FaultPlan
+from repro.obs import MetricsWindow, TraceBuffer
 from repro.serve import AdaptiveController, ServeWorkload, run_serve
 
 SMALL = ServeWorkload(
@@ -61,21 +62,56 @@ def test_directory_sharding_preserves_results():
     assert four["shard_mix"] == one["shard_mix"]
 
 
+SHIFT = ServeWorkload(
+    n_keys=16, n_shards=2, n_requests=384, batch=16, rate=60.0,
+    read_frac=0.95, shift_at=0.5, shift_read_frac=0.05,
+    think_cycles=5, seed=13,
+)
+
+
 def test_adaptive_switches_on_mix_shift():
-    wl = ServeWorkload(
-        n_keys=16, n_shards=2, n_requests=384, batch=16, rate=60.0,
-        read_frac=0.95, shift_at=0.5, shift_read_frac=0.05,
-        think_cycles=5, seed=13,
-    )
-    controller = AdaptiveController({s: "DynamicUpdate" for s in range(wl.n_shards)})
-    _, report = run_serve(wl, controller=controller, n_procs=3)
+    controller = AdaptiveController({s: "DynamicUpdate" for s in range(SHIFT.n_shards)})
+    _, report = run_serve(SHIFT, controller=controller, n_procs=3)
     assert report["mode"] == "adaptive"
-    assert report["requests"] == wl.n_requests
+    assert report["requests"] == SHIFT.n_requests
     assert report["switches"] >= 1  # the write-heavy tail forces a switch
     assert "Migratory" in report["protocols_final"].values()
     switched = [d for d in report["decisions"] if d["switch_to"]]
     assert switched and all(d["write_frac"] is not None for d in switched)
-    assert "metrics" in report  # adaptive runs attach the window by default
+
+
+COUNTER_METRICS = ("msgs", "words", "mix", "rpcs", "stall", "stall_fraction")
+
+
+def _serve_modes(make_tracer=lambda: None):
+    """(static run, adaptive run) of SHIFT on 3 procs, each traced into
+    its own ``make_tracer()`` buffer."""
+    adaptive = AdaptiveController({s: "DynamicUpdate" for s in range(SHIFT.n_shards)})
+    return (run_serve(SHIFT, protocol="SC", n_procs=3, tracer=make_tracer()),
+            run_serve(SHIFT, controller=adaptive, n_procs=3, tracer=make_tracer()))
+
+
+def test_serving_is_untraced_by_default():
+    for res, report in _serve_modes():
+        assert res.machine.tracer is None
+        metrics = report["metrics"]
+        assert 0 < metrics["stall_fraction"] < 1
+        assert metrics["msgs"] == report["msgs"] == sum(metrics["mix"].values())
+        assert metrics["rpcs"] > 0 and "window" not in metrics
+
+
+def test_counter_metrics_equal_window_metrics():
+    plain = _serve_modes()
+    windowed = _serve_modes(lambda: TraceBuffer(capacity=1 << 10, metrics=MetricsWindow()))
+    for (res, traced), (_, untraced) in zip(windowed, plain):
+        assert res.machine.tracer is not None
+        window = traced["metrics"]["window"]
+        for key in COUNTER_METRICS:
+            assert traced["metrics"][key] == window[key], key
+            assert untraced["metrics"][key] == window[key], key
+        for key in ("cycles", "events", "latency", "switches"):
+            assert traced[key] == untraced[key], key
+        assert traced.get("decisions") == untraced.get("decisions")
 
 
 def test_serve_composes_with_fault_plan():

@@ -220,8 +220,7 @@ def run_bench(suites: list[str], n_procs: int, smoke: bool = False, repeat: int 
         # signal for the closure backend)
         report["suites"]["smoke_table4"] = _repeated(suite_table4, repeat, n_procs=2, apps=["TSP"])
         # tiny serving run: proves the serve stack and its determinism
-        # without burning minutes (absent from old baselines, so the
-        # gate's compare() simply skips it there)
+        # without burning minutes
         report["suites"]["smoke_serve"] = _repeated(suite_serve, repeat, n_procs=2, requests=256)
         return report
     for name in suites:
@@ -237,9 +236,11 @@ def compare(
     events_tolerance: float = 1.05,
     wall_factor: float = 3.0,
 ) -> list[str]:
-    """Human-readable speedup lines for suites present in both reports.
+    """Human-readable speedup lines, one per suite of ``report``.
 
-    Simulated-cycle rows must match exactly — a kernel change that
+    A suite with no baseline entry says so; under ``gate=True`` that
+    fails the gate, since a suite nobody compares is a suite nobody
+    gates.  Simulated-cycle rows must match exactly — a kernel change that
     alters them is a correctness bug, and the comparison says so.
 
     With ``gate=True`` the lines also flag performance regressions:
@@ -254,6 +255,7 @@ def compare(
     for name, cur in report["suites"].items():
         base = baseline.get("suites", {}).get(name)
         if base is None:
+            lines.append(f"{name}: " + ("REGRESSED (no baseline)" if gate else "no baseline"))
             continue
         speedup = base["wall_s"] / cur["wall_s"] if cur["wall_s"] else float("inf")
         cycles_ok = base["rows"] == cur["rows"]
@@ -275,7 +277,7 @@ def compare(
                 line += f"  throughput {base_eps} -> {cur_eps} events/s ({delta:+.1f}%)"
         lines.append(line)
     if gate and not lines:
-        lines.append("no suites in common with baseline: REGRESSED (gate has nothing to check)")
+        lines.append("no suites to compare: REGRESSED (gate has nothing to check)")
     return lines
 
 
