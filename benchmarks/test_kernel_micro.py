@@ -1,8 +1,8 @@
 """Kernel micro-benchmarks (pytest-benchmark; not part of tier-1).
 
 Isolates the primitives the fast path optimizes — task spawn/resume
-throughput, delay-0 scheduling through the same-cycle ring vs the heap
-(jitter disables the ring), future resolution wake-ups — so a kernel
+throughput, delay-0 scheduling on the canonical and the fuzzed heap,
+future resolution wake-ups — so a kernel
 regression shows up here before it shows up as minutes in the paper
 experiments.
 
@@ -36,16 +36,18 @@ def test_spawn_resume_throughput(benchmark):
     assert events == N_TASKS * (N_STEPS + 1)
 
 
-def test_delay0_ring(benchmark):
-    """Delay-0 storm on the canonical schedule: ring + trampoline path."""
+def test_delay0_canonical(benchmark):
+    """Delay-0 storm on the canonical schedule: with every task pending
+    at the same cycle the trampoline never fires, so each resume is a
+    3-tuple heap entry."""
     events = benchmark(_run_delays, 0)
     assert events == N_TASKS * (N_STEPS + 1)
 
 
 def test_delay0_heap_under_jitter(benchmark):
-    """Same storm with schedule fuzzing: ring/trampoline disabled, so
-    this is the old all-heap cost — the gap to test_delay0_ring is the
-    fast path's win."""
+    """Same storm with schedule fuzzing: 4-tuple heap entries plus one
+    RNG draw per schedule — the gap to test_delay0_canonical is what
+    fuzzing costs."""
     events = benchmark(_run_delays, 0, jitter_seed=1)
     assert events == N_TASKS * (N_STEPS + 1)
 

@@ -530,9 +530,8 @@ class FaultTransport(Transport):
 
     Every send funnels through :meth:`_send`, which asks the plan for a
     verdict — deliver normally, drop, duplicate, or delay — and then
-    drives the machine's own (possibly traced) delivery path for each
-    surviving copy, so counters, traces, and latency math stay the
-    machine's.  Replies go through a resolve-once gate, since a
+    drives the machine's own delivery path for each surviving copy, so
+    counters, traces, and latency math stay the machine's.  Replies go through a resolve-once gate, since a
     duplicated or replayed reply must not resolve a future twice.
     """
 
@@ -564,7 +563,6 @@ class FaultTransport(Transport):
         self.n_procs = machine.n_procs
         self.after = machine.sim.schedule
         self.hw_barrier = machine.hw_barrier  # control network: always reliable
-        self._deliver = machine._deliver  # the traced variant when tracing is on
         self._d_send = machine._d_send
         self._send_overhead = machine.config.am_send_overhead
         self._reply_base = machine._reply_base
@@ -578,10 +576,6 @@ class FaultTransport(Transport):
         }
         self._k_dup_reply = intern_key("fault", "dup_reply_suppressed")
         self._obs = machine.tracer.tracer("faults") if machine.tracer is not None else None
-        if machine.tracer is not None:
-            # Replies bypass the machine's delivery path, so the traced
-            # twin emits the msg.send/msg.recv the machine's would.
-            self.reply = self._reply_traced
         #: bounded in-memory fault log: (cycle, verdict, category, src, dst)
         self.log: list = []
         self.watchdog = LivenessWatchdog(self)
@@ -615,9 +609,14 @@ class FaultTransport(Transport):
         # this path exists for protocols that have not been hardened
         # (they are simply not chaos-safe).
         fut = Future(name="rpc:" + category)
+        t0 = self.sim.now
         yield self._d_send
         self._send(src, dst, handler, (fut, *args), payload_words, category)
         value = yield fut
+        # Counted on the machine like its own round trips.
+        machine = self.machine
+        machine.rpc_count += 1
+        machine.rpc_stall += self.sim.now - t0
         return value
 
     def reply(self, fut, value=None, payload_words: int = 0, category: str = "am.reply"):
@@ -625,56 +624,39 @@ class FaultTransport(Transport):
         if deliveries is None:
             return
         machine = self.machine
-        counts = self._counts
-        key = machine._msg_key(category)
-        base_delay = self._reply_base + self._per_word * payload_words
-        for extra in deliveries:
-            counts[key] += 1
-            counts["msg.total"] += 1
-            counts["msg.words"] += payload_words
-            self.sim.schedule(base_delay + extra, partial(self._resolve_once, fut, value))
-
-    def _reply_traced(self, fut, value=None, payload_words: int = 0, category: str = "am.reply"):
-        # reply() plus events: the same verdict, counter bumps and
-        # schedule draws, so simulated cycles do not move.  Like
-        # Machine._reply_traced, the events sit on the global track.
-        deliveries = self._verdict(None, None, category)
-        if deliveries is None:
-            return
-        machine = self.machine
         obs = machine._obs
-        parent = machine._ctx()
         counts = self._counts
         key = machine._msg_key(category)
         base_delay = self._reply_base + self._per_word * payload_words
-        data = {"category": category, "words": payload_words}
+        if obs is not None:
+            # Replies bypass the machine's delivery path, so this emits
+            # the msg.send/msg.recv Machine.reply would; like it, the
+            # events sit on the global track.
+            parent = machine._ctx()
+            data = {"category": category, "words": payload_words}
         for extra in deliveries:
             counts[key] += 1
             counts["msg.total"] += 1
             counts["msg.words"] += payload_words
-            eid = obs.emit(self.sim.now, "msg.send", parent=parent, data=data)
-            self.sim.schedule(
-                base_delay + extra,
-                partial(self._resolve_once_traced, eid, category, fut, value),
-            )
+            eid = -1 if obs is None else obs.emit(self.sim.now, "msg.send", parent=parent, data=data)
+            self.sim.schedule(base_delay + extra, partial(self._resolve_once, fut, value, eid, category))
 
-    def _resolve_once_traced(self, parent_eid, category, fut, value) -> None:
-        eid = self.machine._obs.emit(
-            self.sim.now,
-            "msg.recv",
-            parent=parent_eid,
-            data={"category": category, "future": fut.name},
-        )
-        if fut._value is _UNSET and fut._exc is None:
-            # Stamp the waker, as Machine._reply_arrive_traced does.
-            fut._obs_eid = eid
-        self._resolve_once(fut, value)
-
-    def _resolve_once(self, fut, value) -> None:
+    def _resolve_once(self, fut, value, send_eid=-1, category=None) -> None:
         # Duplicated replies, replayed recorded replies, and late
         # replies to an already-retried call all land here; only the
-        # first resolves the future.
+        # first resolves the future.  A traced wire copy (``send_eid``
+        # set) emits its receive and, if it wins, stamps the waker, as
+        # Machine._reply_arrive does.
+        if send_eid != -1:
+            eid = self.machine._obs.emit(
+                self.sim.now,
+                "msg.recv",
+                parent=send_eid,
+                data={"category": category, "future": fut.name},
+            )
         if fut._value is _UNSET and fut._exc is None:
+            if send_eid != -1:
+                fut._obs_eid = eid
             fut.resolve(value)
         else:
             self._counts[self._k_dup_reply] += 1
@@ -684,7 +666,7 @@ class FaultTransport(Transport):
         deliveries = self._verdict(src, dst, category)
         if deliveries is None:
             return
-        deliver = self._deliver
+        deliver = self.machine._deliver
         for extra in deliveries:
             if extra:
                 self.sim.schedule(
@@ -879,6 +861,10 @@ class RetryKit:
         self._after(self._policy.timeout_for(1), partial(self._check, pend))
         value = yield fut
         self.pending.pop(pend.seq, None)
+        # One round trip, its retries inside its stall.
+        transport = self._transport
+        transport.machine.rpc_count += 1
+        transport.machine.rpc_stall += transport.sim.now - pend.born
         return value
 
     def post(

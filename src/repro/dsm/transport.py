@@ -11,9 +11,9 @@ operations.
 Zero-cost boundary
 ------------------
 :class:`SimTransport` binds the machine's methods directly as instance
-attributes: ``transport.rpc`` *is* ``machine.rpc`` (the traced variant
-when observability is on, since the machine swaps those in during its
-own construction).  A call through the transport therefore executes
+attributes: ``transport.rpc`` *is* ``machine.rpc``, traced or not —
+each machine operation is one method that branches once on whether a
+tracer is attached.  A call through the transport therefore executes
 the identical code object, with the identical ``(delay, seq)`` draws,
 as a call on the machine — the layer boundary costs no simulated
 cycles and no host-side indirection.  DESIGN.md §8 documents this
@@ -61,8 +61,8 @@ class Transport:
     that may drop, duplicate, or reorder messages (e.g.
     :class:`~repro.dsm.faults.FaultTransport`) sets it ``False``, and
     the protocol layers swap in sequence-numbered retry/dedup variants
-    at construction — the same zero-cost idiom as the traced machine
-    paths, so a reliable fabric pays nothing for the machinery.
+    at construction, so a reliable fabric pays nothing for the
+    machinery.
     """
 
     machine: object | None = None
@@ -91,8 +91,8 @@ class Transport:
         raise NotImplementedError
 
     def defer_post(self, delay: int, src: int, dst: int, handler: Callable, *args, **kw) -> None:
-        # Generic composition; machine-backed fabrics bind the
-        # machine's own (possibly traced) implementation instead.
+        # Generic composition; SimTransport binds the machine's own
+        # implementation instead.
         self.after(delay, lambda: self.post(src, dst, handler, *args, **kw))
 
     def hw_barrier(self, nid: int):
@@ -114,7 +114,7 @@ class SimTransport(Transport):
         self.nodes = machine.nodes
         self.n_procs = machine.n_procs
         # Direct bindings: the transport call site resolves one instance
-        # attribute and lands in machine code, traced or not.
+        # attribute and lands in machine code.
         self.request = machine.am_request
         self.post = machine.post
         self.rpc = machine.rpc

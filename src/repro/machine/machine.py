@@ -60,13 +60,12 @@ class Machine:
         Cycle-cost model; defaults to the CM-5-flavoured constants.
     tracer:
         Optional :class:`repro.obs.TraceBuffer`.  When given, message
-        delivery, RPC, and reply paths are **swapped at construction**
-        for traced variants that emit causal ``msg.send``/``msg.recv``
-        and ``rpc.call``/``rpc.return`` events, feed per-category
-        round-trip latency histograms, and bump per-node
-        ``node<i>.msg.*`` counters.  With ``tracer=None`` the class
-        methods run unchanged — the disabled path is byte-for-byte the
-        pre-observability fast path, so it costs nothing.
+        delivery, RPC, and reply paths also emit causal
+        ``msg.send``/``msg.recv`` and ``rpc.call``/``rpc.return``
+        events, feed per-category round-trip latency histograms, and
+        bump per-node ``node<i>.msg.*`` counters.  Each operation is one
+        method that branches once on ``self._obs``; with ``tracer=None``
+        that branch is the only cost.
     """
 
     HW_BARRIER_COST = 170  # ~5us on a 33MHz node: CM-5 control network barrier
@@ -74,7 +73,8 @@ class Machine:
     def __init__(self, sim: Simulator, config: MachineConfig | None = None, tracer=None):
         self.sim = sim
         self.config = config or MachineConfig()
-        self.nodes = [Node(self, i) for i in range(self.config.n_procs)]
+        self.n_procs = self.config.n_procs
+        self.nodes = [Node(self, i) for i in range(self.n_procs)]
         self.stats = Stats()
         self._barrier_count = 0
         self._barrier_gen = 0
@@ -94,27 +94,17 @@ class Machine:
         # Completed round trips through rpc() and the cycles their
         # callers spent waiting on them (send overhead, both wire legs,
         # handler work).  Plain attributes, not Stats keys, so snapshots
-        # keep their shape; both rpc variants keep them.
+        # keep their shape; the fault transport's round trips count too.
         self.rpc_count = 0
         self.rpc_stall = 0
-        # Observability (DESIGN.md §7): decided once, here.  Traced
-        # variants shadow the class methods via instance attributes;
-        # their scheduling (delay, seq) streams are identical to the
-        # fast path, so simulated cycles do not move.
+        # Observability (DESIGN.md §7): decided once, here.  The traced
+        # branches make the same (delay, seq) scheduling draws as the
+        # untraced ones, so simulated cycles do not move.
         self.tracer = tracer
         if tracer is not None:
             self._obs = tracer.tracer("machine")
-            self._deliver = self._deliver_traced
-            self.rpc = self._rpc_traced
-            self.reply = self._reply_traced
-            self.post = self._post_traced
-            self.defer_post = self._defer_post_traced
-            self._node_sent = [
-                self.stats.node(i).key("msg.sent") for i in range(self.config.n_procs)
-            ]
-            self._node_recv = [
-                self.stats.node(i).key("msg.recv") for i in range(self.config.n_procs)
-            ]
+            self._node_sent = [self.stats.node(i).key("msg.sent") for i in range(self.n_procs)]
+            self._node_recv = [self.stats.node(i).key("msg.recv") for i in range(self.n_procs)]
             # Per-(src, category) RPC histogram handles, cached so the
             # round-trip hot path never builds a "node<i>.rpc.<cat>"
             # string twice; run_summary merges them cluster-wide.
@@ -128,9 +118,16 @@ class Machine:
             key = self._msg_keys[category] = intern_key("msg", category)
         return key
 
-    @property
-    def n_procs(self) -> int:
-        return self.config.n_procs
+    def _ctx(self) -> int:
+        """Current dispatch context (task step or handler receive), or -1.
+
+        Only called with tracing on.  The ts guard rejects stale
+        contexts: a dispatch that set no context of its own (a bare
+        scheduled partial) inherits one only within the same cycle,
+        where the resulting zero-weight edge is harmless.
+        """
+        buf = self.tracer
+        return buf.ctx_eid if buf.ctx_ts == self.sim.now else -1
 
     # -- active messages -------------------------------------------------
     def am_request(
@@ -163,11 +160,16 @@ class Machine:
         """Send a message from *handler context* (no task to charge).
 
         The sender-side overhead is folded into the delivery latency,
-        modeling the coprocessor injecting the message.
+        modeling the coprocessor injecting the message.  The causal
+        parent is captured *now*: by the time the delivery fires, the
+        emitting extent is gone.
         """
         self.sim.schedule(
             self.config.am_send_overhead,
-            partial(self._deliver, src, dst, handler, args, payload_words, category),
+            partial(
+                self._deliver, src, dst, handler, args, payload_words, category,
+                -1 if self.tracer is None else self._ctx(),
+            ),
         )
 
     def defer_post(
@@ -184,20 +186,28 @@ class Machine:
 
         Handler-side deferred work that ends in a send (e.g. the
         invalidation-handler cost before the ack leaves) goes through
-        here so the traced variant can capture the causal context *now*
-        — by the time the deferral fires, the handler extent is gone.
+        here so a traced run can capture the causal context *now* — by
+        the time the deferral fires, the handler extent is gone.
         Cost model: identical to ``schedule(delay, lambda: post(...))``
         (two schedule draws, same delays).
         """
         self.sim.schedule(
             delay,
             partial(
-                self.post, src, dst, handler, *args,
-                payload_words=payload_words, category=category,
+                self._post_from,
+                -1 if self.tracer is None else self._ctx(),
+                src, dst, handler, args, payload_words, category,
             ),
         )
 
-    def _deliver(self, src, dst, handler, args, payload_words, category) -> None:
+    def _post_from(self, parent, src, dst, handler, args, payload_words, category) -> None:
+        # post() with the causal parent captured when it was deferred.
+        self.sim.schedule(
+            self.config.am_send_overhead,
+            partial(self._deliver, src, dst, handler, args, payload_words, category, parent),
+        )
+
+    def _deliver(self, src, dst, handler, args, payload_words, category, parent=-1) -> None:
         if not (0 <= dst < self.n_procs):
             raise ValueError(f"bad destination node {dst}")
         counts = self._counts
@@ -207,15 +217,29 @@ class Machine:
         counts[key] += 1
         counts["msg.total"] += 1
         counts["msg.words"] += payload_words
+        obs = self._obs
+        if obs is None:
+            eid = -1
+        else:
+            if parent == -1:
+                parent = self._ctx()
+            counts[self._node_sent[src]] += 1
+            counts[self._node_recv[dst]] += 1
+            eid = obs.emit(
+                self.sim.now,
+                "msg.send",
+                node=src,
+                parent=parent,
+                data={"dst": dst, "category": category, "words": payload_words},
+            )
         delay = self._recv_base + self._per_word * payload_words
         # The arrival event is a C-level partial rather than a closure:
         # closing over seven variables would turn them all into cells
         # and slow the whole delivery path down.
-        fn = partial(self._arrive, self.nodes[dst], src, handler, args)
+        fn = partial(self._arrive, eid, self.nodes[dst], src, handler, args)
         # sim.schedule(delay, fn), inlined — delivery is the hottest
         # scheduling site outside the kernel itself.  delay is always
-        # positive (recv_base includes the network latency), so the
-        # same-cycle ring never applies here.
+        # positive (recv_base includes the network latency).
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
@@ -225,7 +249,7 @@ class Machine:
         else:
             _heappush(sim._queue, (sim.now + delay, seq, fn))
 
-    def _arrive(self, node, src, handler, args) -> None:
+    def _arrive(self, send_eid, node, src, handler, args) -> None:
         # Handler stats are keyed by the handler object itself: callers
         # pass pre-bound methods, so the probe is an identity hit.
         handler_keys = self._handler_keys
@@ -234,186 +258,29 @@ class Machine:
             hname = getattr(handler, "__name__", "anon")
             hkey = handler_keys[handler] = intern_key("handler", hname)
         self._counts[hkey] += 1
-        result = handler(node, src, *args)
+        obs = self._obs
+        if obs is None:
+            result = handler(node, src, *args)
+        else:
+            # The receive becomes the dispatch context while the handler
+            # runs, so the sends it issues parent back to it.
+            buf = self.tracer
+            prev_eid, prev_ts = buf.ctx_eid, buf.ctx_ts
+            buf.ctx_eid = obs.emit(
+                self.sim.now,
+                "msg.recv",
+                node=node.nid,
+                parent=send_eid,
+                data={"src": src, "handler": hkey[len("handler."):]},
+            )
+            buf.ctx_ts = self.sim.now
+            try:
+                result = handler(node, src, *args)
+            finally:
+                buf.ctx_eid, buf.ctx_ts = prev_eid, prev_ts
         if result is not None and hasattr(result, "send"):
             # Handler needs to block (rare): promote it to a task.
             self.sim.spawn(result, name=f"handler@{node.nid}")
-
-    # -- traced variants (installed over the fast path by __init__) -----
-    # Each mirrors its untraced twin exactly — same counter bumps, same
-    # inlined schedule with the same (delay, seq) draws — plus causal
-    # event emission.  Keeping them separate (instead of branching
-    # inside the fast path) is what makes tracing-off literally free.
-    def _ctx(self) -> int:
-        """Current dispatch context (task step or handler receive), or -1.
-
-        The ts guard rejects stale contexts: a dispatch that set no
-        context of its own (a bare scheduled partial) inherits one only
-        within the same cycle, where the resulting zero-weight edge is
-        harmless.
-        """
-        buf = self.tracer
-        return buf.ctx_eid if buf.ctx_ts == self.sim.now else -1
-
-    def _post_traced(self, src, dst, handler, *args, payload_words=0, category="am.post"):
-        # Same schedule as post() (send overhead folded into delivery);
-        # the causal parent is captured *now*, because by the time the
-        # partial fires the emitting extent is gone.
-        self.sim.schedule(
-            self.config.am_send_overhead,
-            partial(
-                self._deliver_traced,
-                src, dst, handler, args, payload_words, category, self._ctx(),
-            ),
-        )
-
-    def _defer_post_traced(self, delay, src, dst, handler, *args, payload_words=0, category="am.post"):
-        # Two schedule draws with the same delays as the untraced
-        # defer_post; only the captured causal parent differs.
-        self.sim.schedule(
-            delay,
-            partial(
-                self._post_parent_traced,
-                self._ctx(), src, dst, handler, args, payload_words, category,
-            ),
-        )
-
-    def _post_parent_traced(self, parent, src, dst, handler, args, payload_words, category):
-        self.sim.schedule(
-            self.config.am_send_overhead,
-            partial(self._deliver_traced, src, dst, handler, args, payload_words, category, parent),
-        )
-
-    def _deliver_traced(self, src, dst, handler, args, payload_words, category, parent=-1):
-        if not (0 <= dst < self.n_procs):
-            raise ValueError(f"bad destination node {dst}")
-        if parent == -1:
-            parent = self._ctx()
-        counts = self._counts
-        key = self._msg_keys.get(category)
-        if key is None:
-            key = self._msg_keys[category] = intern_key("msg", category)
-        counts[key] += 1
-        counts["msg.total"] += 1
-        counts["msg.words"] += payload_words
-        counts[self._node_sent[src]] += 1
-        counts[self._node_recv[dst]] += 1
-        eid = self._obs.emit(
-            self.sim.now,
-            "msg.send",
-            node=src,
-            parent=parent,
-            data={"dst": dst, "category": category, "words": payload_words},
-        )
-        delay = self._recv_base + self._per_word * payload_words
-        fn = partial(self._arrive_traced, eid, self.nodes[dst], src, handler, args)
-        sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        jitter = sim._jitter
-        if jitter is not None:
-            _heappush(sim._queue, (sim.now + delay, jitter.random(), seq, fn))
-        else:
-            _heappush(sim._queue, (sim.now + delay, seq, fn))
-
-    def _arrive_traced(self, parent_eid, node, src, handler, args) -> None:
-        handler_keys = self._handler_keys
-        hkey = handler_keys.get(handler)
-        if hkey is None:
-            hname = getattr(handler, "__name__", "anon")
-            hkey = handler_keys[handler] = intern_key("handler", hname)
-        self._counts[hkey] += 1
-        eid = self._obs.emit(
-            self.sim.now,
-            "msg.recv",
-            node=node.nid,
-            parent=parent_eid,
-            data={"src": src, "handler": hkey[len("handler."):]},
-        )
-        buf = self.tracer
-        prev_eid, prev_ts = buf.ctx_eid, buf.ctx_ts
-        buf.ctx_eid = eid
-        buf.ctx_ts = self.sim.now
-        try:
-            result = handler(node, src, *args)
-        finally:
-            buf.ctx_eid, buf.ctx_ts = prev_eid, prev_ts
-        if result is not None and hasattr(result, "send"):
-            self.sim.spawn(result, name=f"handler@{node.nid}")
-
-    def _rpc_traced(self, src, dst, handler, *args, payload_words: int = 0, category: str = "am.rpc"):
-        name = self._rpc_names.get(category)
-        if name is None:
-            name = self._rpc_names[category] = intern_key("rpc:" + category)
-        obs = self._obs
-        t0 = self.sim.now
-        eid = obs.emit(t0, "rpc.call", node=src, data={"dst": dst, "category": category})
-        fut = Future(name=name)
-        yield self._d_send
-        self._deliver_traced(src, dst, handler, (fut, *args), payload_words, category, parent=eid)
-        value = yield fut
-        # Round trip as the caller experienced it (send overhead, both
-        # wire legs, handler work) — the trace-level "stall time".
-        # Recorded per node so run_summary can show both the cluster
-        # aggregate (via Histogram.merge) and per-node tails.
-        lat = self.sim.now - t0
-        self.rpc_count += 1
-        self.rpc_stall += lat
-        hist = self._rpc_hist_cache.get((src, category))
-        if hist is None:
-            hist = self._rpc_hist_cache[(src, category)] = self.tracer.hist(
-                f"node{src}.rpc.{category}"
-            )
-        hist.add(lat)
-        obs.emit(
-            self.sim.now,
-            "rpc.return",
-            node=src,
-            parent=eid,
-            data={"category": category, "lat": lat},
-        )
-        return value
-
-    def _reply_traced(self, fut: Future, value=None, payload_words: int = 0, category: str = "am.reply") -> None:
-        counts = self._counts
-        key = self._msg_keys.get(category)
-        if key is None:
-            key = self._msg_keys[category] = intern_key("msg", category)
-        counts[key] += 1
-        counts["msg.total"] += 1
-        counts["msg.words"] += payload_words
-        # Replies carry no explicit src/dst (the future is the address),
-        # so the events sit on the global track; the flow arrow still
-        # links send to receive, and the context parent links the reply
-        # back to the request (or task dispatch) it services.
-        eid = self._obs.emit(
-            self.sim.now,
-            "msg.send",
-            parent=self._ctx(),
-            data={"category": category, "words": payload_words},
-        )
-        delay = self._reply_base + self._per_word * payload_words
-        fn = partial(self._reply_arrive_traced, eid, category, fut, value)
-        sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        jitter = sim._jitter
-        if jitter is not None:
-            _heappush(sim._queue, (sim.now + delay, jitter.random(), seq, fn))
-        else:
-            _heappush(sim._queue, (sim.now + delay, seq, fn))
-
-    def _reply_arrive_traced(self, parent_eid, category, fut, value) -> None:
-        eid = self._obs.emit(
-            self.sim.now,
-            "msg.recv",
-            parent=parent_eid,
-            data={"category": category, "future": fut.name},
-        )
-        # Stamp the waker: the task.step this resolve wakes will parent
-        # to this receive, carrying the critical path across the wire.
-        fut._obs_eid = eid
-        fut.resolve(value)
 
     def rpc(
         self,
@@ -433,15 +300,38 @@ class Machine:
         name = self._rpc_names.get(category)
         if name is None:
             name = self._rpc_names[category] = intern_key("rpc:" + category)
-        fut = Future(name=name)
         t0 = self.sim.now
+        obs = self._obs
+        eid = -1 if obs is None else obs.emit(
+            t0, "rpc.call", node=src, data={"dst": dst, "category": category}
+        )
+        fut = Future(name=name)
         # am_request, inlined: the delegation frame would otherwise sit
         # on the resume path of every round trip in the system.
         yield self._d_send
-        self._deliver(src, dst, handler, (fut, *args), payload_words, category)
+        self._deliver(src, dst, handler, (fut, *args), payload_words, category, eid)
         value = yield fut
+        # Round trip as the caller experienced it (send overhead, both
+        # wire legs, handler work): the "stall time".
+        lat = self.sim.now - t0
         self.rpc_count += 1
-        self.rpc_stall += self.sim.now - t0
+        self.rpc_stall += lat
+        if obs is not None:
+            # Recorded per node so run_summary can show both the
+            # cluster aggregate (via Histogram.merge) and per-node tails.
+            hist = self._rpc_hist_cache.get((src, category))
+            if hist is None:
+                hist = self._rpc_hist_cache[(src, category)] = self.tracer.hist(
+                    f"node{src}.rpc.{category}"
+                )
+            hist.add(lat)
+            obs.emit(
+                self.sim.now,
+                "rpc.return",
+                node=src,
+                parent=eid,
+                data={"category": category, "lat": lat},
+            )
         return value
 
     def reply(self, fut: Future, value=None, payload_words: int = 0, category: str = "am.reply") -> None:
@@ -453,10 +343,25 @@ class Machine:
         counts[key] += 1
         counts["msg.total"] += 1
         counts["msg.words"] += payload_words
+        obs = self._obs
+        if obs is None:
+            fn = fut.resolve if value is None else partial(fut.resolve, value)
+        else:
+            # Replies carry no explicit src/dst (the future is the
+            # address), so the events sit on the global track; the flow
+            # arrow still links send to receive, and the context parent
+            # links the reply back to the request (or task dispatch) it
+            # services.
+            eid = obs.emit(
+                self.sim.now,
+                "msg.send",
+                parent=self._ctx(),
+                data={"category": category, "words": payload_words},
+            )
+            fn = partial(self._reply_arrive, eid, category, fut, value)
         delay = self._reply_base + self._per_word * payload_words
-        fn = fut.resolve if value is None else partial(fut.resolve, value)
         # sim.schedule(delay, fn), inlined; delay > 0 (it includes a
-        # full send + receive overhead), so the ring never applies.
+        # full send + receive overhead).
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
@@ -465,6 +370,19 @@ class Machine:
             _heappush(sim._queue, (sim.now + delay, jitter.random(), seq, fn))
         else:
             _heappush(sim._queue, (sim.now + delay, seq, fn))
+
+    def _reply_arrive(self, send_eid, category, fut, value) -> None:
+        # Traced runs only: the receive event for a reply.
+        eid = self._obs.emit(
+            self.sim.now,
+            "msg.recv",
+            parent=send_eid,
+            data={"category": category, "future": fut.name},
+        )
+        # Stamp the waker: the task.step this resolve wakes will parent
+        # to this receive, carrying the critical path across the wire.
+        fut._obs_eid = eid
+        fut.resolve(value)
 
     # -- control network ---------------------------------------------------
     def hw_barrier(self, nid: int):

@@ -217,12 +217,12 @@ def run_metrics(res) -> dict:
 
     Read from counters the untraced fast path keeps: ``msgs``, ``words``
     and the per-category ``mix`` from the ``msg.*`` Stats counters,
-    ``rpcs`` and ``stall`` (round-trip cycles) from the machine.  On the
-    same run they equal a :class:`~repro.obs.MetricsWindow`'s totals,
-    whose summary is added under ``"window"`` when the run's trace
-    buffer carries one.  Like the window, ``rpcs`` counts only
-    ``Machine.rpc`` round trips: under a fault plan, protocol calls go
-    through the fault transport and are not counted.
+    ``rpcs`` and ``stall`` (round-trip cycles) from the machine, which
+    also counts the fault transport's round trips under a fault plan
+    (retries inside their stall).  On a fault-free run they equal a
+    :class:`~repro.obs.MetricsWindow`'s totals, whose summary is added
+    under ``"window"`` when the run's trace buffer carries one; the
+    window sees only ``Machine.rpc`` round trips.
     """
     machine, stats = res.machine, res.stats
     mix = {k[len("msg."):]: v for k, v in stats.with_prefix("msg").items()

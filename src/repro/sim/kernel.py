@@ -23,11 +23,9 @@ Per-event overhead bounds every experiment in the repository, so the
 hot path is engineered to allocate nothing beyond what the event model
 requires (see DESIGN.md §6 for the full story):
 
-* **Same-cycle ring.**  ``schedule(0, fn)`` — by far the most common
-  call — appends ``(seq, fn)`` to a FIFO deque instead of paying a
-  ``heapq`` push/pop of a 4-tuple.  Ring and heap entries are merged
-  by the global ``(time, seq)`` order at pop time, so event order is
-  bit-identical to the single-heap implementation.
+* **One heap.**  Every event — ``schedule``, ``spawn``, a future's
+  wake-up, a task's next step — is one ``heapq`` entry, popped in
+  global ``(time, seq)`` order.
 * **Pre-bound resume thunks.**  Each :class:`Task` carries its resume
   callables (and its generator's ``send``/``throw`` methods), built
   once at spawn; the kernel never allocates a closure or bound method
@@ -36,39 +34,32 @@ requires (see DESIGN.md §6 for the full story):
 * **Lean heap entries.**  Canonical (non-fuzzed) runs store 3-tuples
   ``(time, seq, fn)``; only fuzzed runs pay for the 4-tuple with the
   random tie-breaker.  Ordering is ``(time, seq)`` either way.
-* **Inline trampoline.**  When a task yields ``Delay(0)`` or an
-  already-resolved :class:`Future` and *no other event is pending at
-  the current cycle*, its continuation would be the very next event —
-  so the kernel steps the generator again immediately (bounded by
-  ``_TRAMPOLINE_MAX``), skipping the queue round-trip.  The same
-  applies to a nonzero ``Delay`` when every queued event is strictly
-  later than the task's resume time: the kernel advances ``now``
-  in place and keeps stepping (disabled under ``run(until=...)``
-  and structured tracing, where the heap path enforces the pause
-  boundary / the pinned ``task.step`` stream).  The pending checks
-  make this unobservable: ordering, cycle counts, and event counts
-  are exactly what the queue would have produced.
-* **Batched ring drain.**  When the heap holds nothing at the ring's
-  cycle, the run loop drains the whole same-cycle ring — including
-  events appended mid-drain — through one dispatch loop instead of
-  re-entering the scheduler per event.
+* **Inline trampoline.**  When a task yields ``Delay(n)`` (or an
+  already-resolved :class:`Future`, which counts as ``n = 0``) and
+  every queued event is strictly later than ``now + n``, its
+  continuation would be the very next event — so the kernel advances
+  ``now`` in place and steps the generator again immediately (bounded
+  by ``_TRAMPOLINE_MAX``), skipping the heap round-trip.  Positive
+  delays are not inlined under ``run(until=...)`` or structured
+  tracing, where the heap path enforces the pause boundary / the
+  pinned ``task.step`` stream.  Ordering, cycle counts, and event
+  counts are exactly what the heap would have produced.
 * **Fail-fast flag.**  A task crash used to be detected by scanning
   every task after every event; now ``Future.fail`` on a task's
   ``done`` future records the first failure on the simulator directly.
 * **Pooled delays.**  ``Delay(n)`` for small ``n`` returns a shared
   immutable singleton, so the dominant yield type costs no allocation.
 
-Schedule fuzzing (``jitter_seed``) disables the ring and the
-trampoline: fuzzed runs draw one random tie-breaker per ``schedule``
-call, and both shortcuts would perturb that stream.  Fuzzed schedules
-therefore replay exactly as they always have.
+Schedule fuzzing (``jitter_seed``) disables the trampoline: fuzzed
+runs draw one random tie-breaker per ``schedule`` call, and inlining
+would perturb that stream.  Fuzzed schedules therefore replay exactly
+as they always have.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from typing import Callable, Generator, Iterable
 
 from repro.sim.errors import DeadlockError, SimulationError
@@ -123,7 +114,7 @@ _DELAY_POOL = _build_delay_pool(_DELAY_POOL_SIZE)
 
 #: Max generator steps taken inline before falling back to the queue.
 #: Purely a safety valve — inlining is only attempted when the queue
-#: has nothing else at the current cycle, so any bound preserves order.
+#: has nothing at or before the resume time, so any bound preserves order.
 _TRAMPOLINE_MAX = 64
 
 
@@ -161,7 +152,6 @@ class Task:
         "_send",
         "_throw",
         "_queue",
-        "_ring",
         "_jitter",
         "_obs",
         "_obs_buf",
@@ -181,11 +171,9 @@ class Task:
         self._wake = self._on_resolved
         self._send = gen.send
         self._throw = gen.throw
-        # The simulator's event structures never get reassigned, so
-        # each task keeps direct references and skips three attribute
-        # loads per step.
+        # The simulator's heap never gets reassigned, so each task
+        # keeps a direct reference and skips attribute loads per step.
         self._queue = sim._queue
-        self._ring = sim._ring
         self._jitter = sim._jitter
         # Structured tracing handle, resolved once at spawn: None when
         # observability is off, so the per-step cost of the disabled
@@ -212,7 +200,6 @@ class Task:
         resume = self._resume
         trace = sim._trace
         queue = self._queue
-        ring = self._ring
         jitter = self._jitter
         now = sim.now  # time cannot advance while a task is stepping
         obs = self._obs
@@ -271,95 +258,57 @@ class Task:
                 cycles = item.cycles
                 if trace:
                     trace(now, f"{self.name} delay {cycles}")
-                if (
-                    cycles == 0
-                    and steps > 0
-                    and not ring
-                    and jitter is None
-                    and sim._failure is None
-                    and (not queue or queue[0][0] > now)
-                ):
-                    # This continuation would be the sole next event;
-                    # run it now and skip the queue round-trip.
-                    steps -= 1
-                    sim.events += 1
-                    value = exc = None
-                    continue
-                if (
-                    steps > 0
-                    and not ring
-                    and jitter is None
-                    and sim._failure is None
-                    and sim._until is None
-                    and obs is None
-                    and (not queue or queue[0][0] > now + cycles)
-                ):
-                    # Nonzero-delay inlining: the continuation is still
-                    # the sole next event (every queued event is
-                    # strictly later than now + cycles), so advance
-                    # simulated time here and keep stepping.  Event
-                    # count and (time, seq) order are exactly what the
-                    # heap round-trip would have produced.  Disabled
-                    # under run(until=...) — the heap path enforces the
-                    # pause boundary — and with structured tracing on,
-                    # so the pinned obs event stream (one ``task.step``
-                    # per kernel dispatch) is unchanged.
-                    steps -= 1
-                    sim.events += 1
-                    sim.now = now = now + cycles
-                    value = exc = None
-                    continue
-                # schedule(cycles, resume), inlined — one call per
-                # yield is a measurable share of the event loop.  Delay
-                # guarantees cycles >= 0, so the negative check is moot.
-                seq = sim._seq
-                sim._seq = seq + 1
-                if jitter is not None:
-                    _heappush(queue, (now + cycles, jitter.random(), seq, resume))
-                elif cycles == 0 and (not ring or sim._ring_time == now):
-                    sim._ring_time = now
-                    ring.append((seq, resume))
-                else:
-                    _heappush(queue, (now + cycles, seq, resume))
+                value = exc = None
+            elif item._value is not _UNSET or item._exc is not None:
+                # Already resolved: resume this cycle, but *after*
+                # already-queued events, so it never jumps the queue.
+                cycles = 0
+                exc = item._exc
+                value = None if exc is not None else item._value
+            else:
+                self.blocked_on = item
+                if trace:
+                    trace(now, f"{self.name} waits on {item.name}")
+                if obs is not None:
+                    # Pure observation: the span from this event to
+                    # the task's next ``task.step`` is exactly the
+                    # cycles spent blocked on ``item`` — the raw
+                    # material for cycle attribution (repro.obs.attrib
+                    # classifies the future's name into wait buckets).
+                    obs.emit(now, "task.block", data={"task": self.name, "on": item.name})
+                item._callbacks.append(self._wake)
                 return
-            if item._value is not _UNSET or item._exc is not None:
-                if (
-                    steps > 0
-                    and not ring
-                    and jitter is None
-                    and sim._failure is None
-                    and (not queue or queue[0][0] > now)
-                ):
-                    steps -= 1
-                    sim.events += 1
-                    exc = item._exc
-                    value = None if exc is not None else item._value
-                    continue
-                # Resume this cycle but *after* already-queued
-                # events, so a resolved future never lets a task
-                # jump the queue (schedule(0, ...), inlined).
+            if (
+                steps > 0
+                and jitter is None
+                and sim._failure is None
+                and (not queue or queue[0][0] > now + cycles)
+                and (cycles == 0 or (sim._until is None and obs is None))
+            ):
+                # The continuation is the sole next event (every queued
+                # event is strictly later than now + cycles), so advance
+                # simulated time here and keep stepping.  Event count
+                # and (time, seq) order are exactly what the heap
+                # round-trip would have produced.  Positive delays take
+                # the heap under run(until=...), which enforces the
+                # pause boundary, and with structured tracing on, so
+                # the pinned obs event stream (one ``task.step`` per
+                # kernel dispatch) is unchanged.
+                steps -= 1
+                sim.events += 1
+                sim.now = now = now + cycles
+                continue
+            # schedule(cycles, resume), inlined — one call per yield is
+            # a measurable share of the event loop.  Delay guarantees
+            # cycles >= 0, so the negative check is moot.
+            if cls is Future:
                 self._wait_fut = item
-                seq = sim._seq
-                sim._seq = seq + 1
-                if jitter is not None:
-                    _heappush(queue, (now, jitter.random(), seq, resume))
-                elif not ring or sim._ring_time == now:
-                    sim._ring_time = now
-                    ring.append((seq, resume))
-                else:
-                    _heappush(queue, (now, seq, resume))
-                return
-            self.blocked_on = item
-            if trace:
-                trace(now, f"{self.name} waits on {item.name}")
-            if obs is not None:
-                # Pure observation: the span from this event to the
-                # task's next ``task.step`` is exactly the cycles spent
-                # blocked on ``item`` — the raw material for cycle
-                # attribution (repro.obs.attrib classifies the future's
-                # name into wait buckets).
-                obs.emit(now, "task.block", data={"task": self.name, "on": item.name})
-            item._callbacks.append(self._wake)
+            seq = sim._seq
+            sim._seq = seq + 1
+            if jitter is not None:
+                _heappush(queue, (now + cycles, jitter.random(), seq, resume))
+            else:
+                _heappush(queue, (now + cycles, seq, resume))
             return
 
     def _on_resolved(self, fut: Future) -> None:
@@ -367,18 +316,13 @@ class Task:
         # resolution is one of the two hottest kernel entry points.
         self._wait_fut = fut
         sim = self._sim
-        now = sim.now
         seq = sim._seq
         sim._seq = seq + 1
         jitter = self._jitter
-        ring = self._ring
         if jitter is not None:
-            _heappush(self._queue, (now, jitter.random(), seq, self._resume))
-        elif not ring or sim._ring_time == now:
-            sim._ring_time = now
-            ring.append((seq, self._resume))
+            _heappush(self._queue, (sim.now, jitter.random(), seq, self._resume))
         else:
-            _heappush(self._queue, (now, seq, self._resume))
+            _heappush(self._queue, (sim.now, seq, self._resume))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Task {self.name}>"
@@ -399,8 +343,6 @@ class Simulator:
         "now",
         "events",
         "_queue",
-        "_ring",
-        "_ring_time",
         "_seq",
         "_tasks",
         "_names",
@@ -436,8 +378,6 @@ class Simulator:
         # (time, jitter, seq, fn) under schedule fuzzing.  Both orders
         # reduce to (time, seq); fn is always entry[-1].
         self._queue: list = []
-        self._ring: deque = deque()  # FIFO of (seq, fn) at time _ring_time
-        self._ring_time: int = 0
         self._seq = 0
         self._tasks: list[Task] = []
         self._names: dict[str, int] = {}
@@ -445,9 +385,9 @@ class Simulator:
         self._running = False
         self._failure: BaseException | None = None
         # Bound of the current run(until=...) call, or None.  The
-        # nonzero-delay trampoline consults it: inlined time advances
-        # must not cross a pause boundary, so bounded runs always take
-        # the heap path for positive delays.
+        # trampoline consults it: inlined time advances must not cross
+        # a pause boundary, so bounded runs always take the heap path
+        # for positive delays.
         self._until: int | None = None
         self._jitter = random.Random(jitter_seed) if jitter_seed is not None else None
         # Per-layer tracer handle, or None: resolved once here so the
@@ -465,13 +405,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         if self._jitter is not None:
-            # Fuzzing draws one tie-breaker per schedule call; keep the
-            # stream (and thus every fuzzed schedule) exactly as before
-            # the same-cycle ring existed.
             heapq.heappush(self._queue, (self.now + delay, self._jitter.random(), seq, fn))
-        elif delay == 0 and (not self._ring or self._ring_time == self.now):
-            self._ring_time = self.now
-            self._ring.append((seq, fn))
         else:
             heapq.heappush(self._queue, (self.now + delay, seq, fn))
 
@@ -578,70 +512,25 @@ class Simulator:
         self._running = True
         self._until = until
         queue = self._queue
-        ring = self._ring
         heappop = heapq.heappop
         fired = 0  # queue pops this run; folded into self.events on exit
         try:
             if until is None:
-                # Hot loop: no pause check per event.  Next event =
-                # global (time, seq) minimum across both structures;
-                # ring entries all share time _ring_time.
-                while queue or ring:
-                    # A non-empty ring implies a canonical run, so the
-                    # heap holds 3-tuples and seq sits at index 1.
-                    if ring:
-                        if not queue or queue[0][0] > self._ring_time:
-                            # Batched delivery: every queued event is
-                            # strictly later than the ring, and nothing
-                            # executed at this cycle can change that —
-                            # delay-0 schedules land on the ring (it is
-                            # non-empty, so ``_ring_time == now`` holds)
-                            # and positive delays land strictly in the
-                            # future.  Drain the whole ring, including
-                            # events appended mid-drain, in one dispatch
-                            # loop: same pops, same (time, seq) order,
-                            # same event count as the per-event path.
-                            self.now = self._ring_time
-                            popleft = ring.popleft
-                            while ring:
-                                fired += 1
-                                popleft()[1]()
-                            continue
-                        if queue[0][0] == self._ring_time and queue[0][1] > ring[0][0]:
-                            # Mixed same-cycle case (an earlier-seq heap
-                            # entry may interleave): single-step it.
-                            self.now = self._ring_time
-                            fn = ring.popleft()[1]
-                            fired += 1
-                            fn()
-                            continue
+                # Hot loop: no pause check per event.
+                while queue:
                     entry = heappop(queue)
                     self.now = entry[0]
                     fired += 1
                     entry[-1]()
             else:
-                while queue or ring:
-                    if ring:
-                        time = self._ring_time
-                        use_ring = not queue or (
-                            queue[0][0] > time
-                            or (queue[0][0] == time and queue[0][1] > ring[0][0])
-                        )
-                        if not use_ring:
-                            time = queue[0][0]
-                    else:
-                        use_ring = False
-                        time = queue[0][0]
-                    if time > until:
+                while queue:
+                    if queue[0][0] > until:
                         self.now = until
-                        return self.now
-                    if use_ring:
-                        fn = ring.popleft()[1]
-                    else:
-                        fn = heappop(queue)[-1]
-                    self.now = time
+                        return until
+                    entry = heappop(queue)
+                    self.now = entry[0]
                     fired += 1
-                    fn()
+                    entry[-1]()
         finally:
             self.events += fired
             self._running = False

@@ -124,3 +124,18 @@ def test_serve_composes_with_fault_plan():
     assert report["requests"] == wl.n_requests
     _, clean = run_serve(wl, protocol="SC", n_procs=2)
     assert report["cycles"] > clean["cycles"]  # retries cost cycles
+
+
+def test_lossy_round_trips_are_counted():
+    """Under a fault plan, RPCs go through the fault transport and its
+    retry kit; each completed round trip still counts once on the
+    machine, with its retries inside its stall."""
+    wl = ServeWorkload(
+        n_keys=16, n_shards=2, n_requests=256, batch=16, rate=60.0,
+        read_frac=0.9, shift_read_frac=None, think_cycles=5, seed=13,
+    )
+    _, clean = run_serve(wl, protocol="SC", n_procs=3)
+    _, lossy = run_serve(wl, protocol="SC", n_procs=3, fault_plan=FaultPlan.canonical(1))
+    clean, lossy = clean["metrics"], lossy["metrics"]
+    assert lossy["rpcs"] > 0 and lossy["stall_fraction"] > 0
+    assert lossy["stall"] / lossy["rpcs"] > clean["stall"] / clean["rpcs"]

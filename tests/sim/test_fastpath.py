@@ -1,13 +1,14 @@
 """Regression tests for the kernel fast path (DESIGN.md §6).
 
-The same-cycle ring, the inline trampoline, pooled delays, and the
-pre-bound resume thunks are all pure optimizations: every test here
-pins an ordering or naming property that must hold with them exactly
-as it did with the plain single-heap kernel.
+The inline trampoline, pooled delays, and the pre-bound resume thunks
+are all pure optimizations: every test here pins an ordering or naming
+property that must hold with them exactly as it would with every
+event taking the heap.
 """
 
 import pytest
 
+from repro.obs import TraceBuffer
 from repro.sim import Delay, Future, SimulationError, Simulator
 
 
@@ -40,18 +41,18 @@ def test_delay0_tasks_interleave_fifo():
 
 
 def test_ring_and_heap_merge_by_seq():
-    """Events scheduled at the same cycle through different paths (ring
-    via delay-0, heap via a positive delay landing on that cycle) fire
-    in schedule order."""
+    """Events scheduled at the same cycle through different calls (a
+    delay-0 schedule, a positive delay landing on that cycle, a task's
+    resume) fire in schedule order."""
     sim = Simulator()
     order = []
 
     def driver():
         yield Delay(5)  # now == 5
-        sim.schedule(1, lambda: order.append("heap-first"))  # heap, t=6
+        sim.schedule(1, lambda: order.append("heap-first"))  # t=6
         yield Delay(1)  # now == 6; resume scheduled after heap-first
         order.append("task")
-        sim.schedule(0, lambda: order.append("ring-last"))  # ring, t=6
+        sim.schedule(0, lambda: order.append("ring-last"))  # t=6, last
 
     sim.spawn(driver(), name="d")
     sim.run()
@@ -101,6 +102,65 @@ def test_events_counter_counts_logical_events():
     # spawn event + three delay resumes, whether or not any of them
     # were inlined by the trampoline.
     assert sim.events == 4
+
+
+# ---------------------------------------------------------------- trampoline gates
+def _task_steps(buf):
+    return sum(1 for e in buf.events() if e.kind == "task.step")
+
+
+def test_zero_delay_continuations_inline_under_tracing():
+    """A Delay(0) or an already-resolved future is inlined even with a
+    TraceBuffer attached: no extra ``task.step``, same event count."""
+    buf = TraceBuffer()
+    sim = Simulator(tracer=buf)
+    ready = Future(name="ready")
+    ready.resolve("v")
+
+    def task():
+        yield Delay(0)
+        got = yield ready
+        assert got == "v"
+
+    sim.spawn(task(), name="t")
+    assert sim.run() == 0
+    assert _task_steps(buf) == 1
+    assert sim.events == 3  # spawn + two inlined continuations
+
+
+def test_positive_delay_takes_the_heap_under_tracing():
+    """With a TraceBuffer, a positive delay is a kernel dispatch of its
+    own, so the pinned stream shows one ``task.step`` per delay."""
+    buf = TraceBuffer()
+    sim = Simulator(tracer=buf)
+
+    def task():
+        yield Delay(5)
+        yield Delay(0)
+
+    sim.spawn(task(), name="t")
+    assert sim.run() == 5
+    assert _task_steps(buf) == 2
+    assert sim.events == 3
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_positive_delay_never_crosses_a_pause(traced):
+    """Under run(until=...), a lone task's positive delays are never
+    inlined past the pause: no step observes ``now`` beyond it."""
+    sim = Simulator(tracer=TraceBuffer() if traced else None)
+    seen = []
+
+    def task():
+        for _ in range(4):
+            yield Delay(10)
+            seen.append(sim.now)
+
+    sim.spawn(task(), name="t")
+    assert sim.run(until=25) == 25
+    assert seen == [10, 20]
+    assert sim.run() == 40
+    assert seen == [10, 20, 30, 40]
 
 
 # ---------------------------------------------------------------- naming
@@ -173,7 +233,7 @@ def test_run_until_pause_sets_now_even_between_events():
 
 def test_run_until_resume_preserves_ordering():
     """Pausing and resuming must replay the identical event order as an
-    uninterrupted run, including same-cycle ring entries."""
+    uninterrupted run, including same-cycle delay-0 entries."""
 
     def program(sim, log):
         def task(name, delays):

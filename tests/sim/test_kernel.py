@@ -159,14 +159,13 @@ def test_join_on_task_done():
 
 
 def test_mixed_ring_and_heap_ordering():
-    """The nonzero-delay fast path must never jump ahead of queued work.
+    """The inline trampoline must never jump ahead of queued work.
 
-    Task a mixes zero-delay (same-cycle ring) and nonzero-delay (heap)
-    yields while task b holds events in the heap at the same
-    timestamps; the trampoline is only legal when the ring is empty
-    and the heap's next event is later, so the observed interleaving
-    must match the plain queue discipline exactly (ties go to the
-    event scheduled first, ring work drains before later heap events).
+    Task a mixes zero-delay and nonzero-delay yields while task b holds
+    events in the heap at the same timestamps; the trampoline is only
+    legal when the heap's next event is strictly later than the resume
+    time, so the observed interleaving must match the plain queue
+    discipline exactly (ties go to the event scheduled first).
     """
     sim = Simulator()
     order = []
