@@ -2,9 +2,10 @@
 
 Isolates the primitives the fast path optimizes — task spawn/resume
 throughput, delay-0 scheduling on the canonical and the fuzzed heap,
-future resolution wake-ups — so a kernel
-regression shows up here before it shows up as minutes in the paper
-experiments.
+future resolution wake-ups — so a kernel regression shows up here
+before it shows up as minutes in the paper experiments.  Every task
+continuation is one heap entry, so each test's event count is exactly
+its number of spawns plus resumes.
 
 Run with::
 
@@ -31,15 +32,15 @@ def _run_delays(step: int, jitter_seed=None) -> int:
 
 
 def test_spawn_resume_throughput(benchmark):
-    """Nonzero delays: every resume goes through the heap."""
+    """Nonzero delays: each resume is a heap entry one step later."""
     events = benchmark(_run_delays, 3)
     assert events == N_TASKS * (N_STEPS + 1)
 
 
 def test_delay0_canonical(benchmark):
-    """Delay-0 storm on the canonical schedule: with every task pending
-    at the same cycle the trampoline never fires, so each resume is a
-    3-tuple heap entry."""
+    """Delay-0 storm on the canonical schedule: each resume is a
+    3-tuple heap entry at the current cycle, behind every task already
+    pending there."""
     events = benchmark(_run_delays, 0)
     assert events == N_TASKS * (N_STEPS + 1)
 
@@ -59,7 +60,8 @@ def test_future_wakeup_chain(benchmark):
         sim = Simulator()
         rounds = 500
 
-        # Resolve-before-wait exercises the resolved-future resume path;
+        # Resolve-before-wait exercises the resolved-future resume path
+        # (one heap entry at the current cycle);
         # pairing tasks through fresh futures exercises add_callback.
         def solo():
             for _ in range(rounds):

@@ -609,14 +609,13 @@ class FaultTransport(Transport):
         # this path exists for protocols that have not been hardened
         # (they are simply not chaos-safe).
         fut = Future(name="rpc:" + category)
+        machine = self.machine
         t0 = self.sim.now
+        eid = machine._rpc_call(t0, src, dst, category)
         yield self._d_send
         self._send(src, dst, handler, (fut, *args), payload_words, category)
         value = yield fut
-        # Counted on the machine like its own round trips.
-        machine = self.machine
-        machine.rpc_count += 1
-        machine.rpc_stall += self.sim.now - t0
+        machine._rpc_done(src, category, t0, eid)
         return value
 
     def reply(self, fut, value=None, payload_words: int = 0, category: str = "am.reply"):
@@ -855,6 +854,8 @@ class RetryKit:
         """Generator: reliable request/reply round trip (drop-in for rpc)."""
         fut = Future(name="rel:" + category)
         pend = self._track(fut, src, dst, handler, args, payload_words, category)
+        machine = self._transport.machine
+        eid = machine._rpc_call(pend.born, src, dst, category)
         yield self._d_send
         pend.attempts = 1
         self._transport._send(src, dst, handler, pend.args, payload_words, category)
@@ -862,9 +863,7 @@ class RetryKit:
         value = yield fut
         self.pending.pop(pend.seq, None)
         # One round trip, its retries inside its stall.
-        transport = self._transport
-        transport.machine.rpc_count += 1
-        transport.machine.rpc_stall += transport.sim.now - pend.born
+        machine._rpc_done(src, category, pend.born, eid)
         return value
 
     def post(

@@ -26,7 +26,6 @@ benchmarks print):
 from __future__ import annotations
 
 from functools import partial
-from heapq import heappush as _heappush
 from typing import Callable
 
 from repro.machine.config import MachineConfig
@@ -236,18 +235,7 @@ class Machine:
         # The arrival event is a C-level partial rather than a closure:
         # closing over seven variables would turn them all into cells
         # and slow the whole delivery path down.
-        fn = partial(self._arrive, eid, self.nodes[dst], src, handler, args)
-        # sim.schedule(delay, fn), inlined — delivery is the hottest
-        # scheduling site outside the kernel itself.  delay is always
-        # positive (recv_base includes the network latency).
-        sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        jitter = sim._jitter
-        if jitter is not None:
-            _heappush(sim._queue, (sim.now + delay, jitter.random(), seq, fn))
-        else:
-            _heappush(sim._queue, (sim.now + delay, seq, fn))
+        self.sim.schedule(delay, partial(self._arrive, eid, self.nodes[dst], src, handler, args))
 
     def _arrive(self, send_eid, node, src, handler, args) -> None:
         # Handler stats are keyed by the handler object itself: callers
@@ -301,21 +289,38 @@ class Machine:
         if name is None:
             name = self._rpc_names[category] = intern_key("rpc:" + category)
         t0 = self.sim.now
-        obs = self._obs
-        eid = -1 if obs is None else obs.emit(
-            t0, "rpc.call", node=src, data={"dst": dst, "category": category}
-        )
+        eid = -1 if self._obs is None else self._rpc_call(t0, src, dst, category)
         fut = Future(name=name)
         # am_request, inlined: the delegation frame would otherwise sit
         # on the resume path of every round trip in the system.
         yield self._d_send
         self._deliver(src, dst, handler, (fut, *args), payload_words, category, eid)
         value = yield fut
-        # Round trip as the caller experienced it (send overhead, both
-        # wire legs, handler work): the "stall time".
-        lat = self.sim.now - t0
+        self._rpc_done(src, category, t0, eid)
+        return value
+
+    def _rpc_call(self, t0: int, src: int, dst: int, category: str) -> int:
+        """Open a round trip: the traced ``rpc.call`` event's id, or -1."""
+        obs = self._obs
+        if obs is None:
+            return -1
+        return obs.emit(t0, "rpc.call", node=src, data={"dst": dst, "category": category})
+
+    def _rpc_done(self, src: int, category: str, t0: int, call_eid: int) -> None:
+        """Book one completed round trip that ``src`` opened at ``t0``.
+
+        Every round-trip path ends here — :meth:`rpc` and the fault
+        transport's raw and reliable calls — so the counters an
+        untraced report reads and a traced run's ``rpc.return`` events
+        always agree.  The latency is the round trip as the caller
+        experienced it (send overhead, both wire legs, handler work,
+        and any retries): the "stall time".
+        """
+        now = self.sim.now
+        lat = now - t0
         self.rpc_count += 1
         self.rpc_stall += lat
+        obs = self._obs
         if obs is not None:
             # Recorded per node so run_summary can show both the
             # cluster aggregate (via Histogram.merge) and per-node tails.
@@ -325,14 +330,8 @@ class Machine:
                     f"node{src}.rpc.{category}"
                 )
             hist.add(lat)
-            obs.emit(
-                self.sim.now,
-                "rpc.return",
-                node=src,
-                parent=eid,
-                data={"category": category, "lat": lat},
-            )
-        return value
+            data = {"category": category, "lat": lat}
+            obs.emit(now, "rpc.return", node=src, parent=call_eid, data=data)
 
     def reply(self, fut: Future, value=None, payload_words: int = 0, category: str = "am.reply") -> None:
         """From handler context: resolve an RPC future after the reply latency."""
@@ -359,17 +358,7 @@ class Machine:
                 data={"category": category, "words": payload_words},
             )
             fn = partial(self._reply_arrive, eid, category, fut, value)
-        delay = self._reply_base + self._per_word * payload_words
-        # sim.schedule(delay, fn), inlined; delay > 0 (it includes a
-        # full send + receive overhead).
-        sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        jitter = sim._jitter
-        if jitter is not None:
-            _heappush(sim._queue, (sim.now + delay, jitter.random(), seq, fn))
-        else:
-            _heappush(sim._queue, (sim.now + delay, seq, fn))
+        self.sim.schedule(self._reply_base + self._per_word * payload_words, fn)
 
     def _reply_arrive(self, send_eid, category, fut, value) -> None:
         # Traced runs only: the receive event for a reply.

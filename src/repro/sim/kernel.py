@@ -33,27 +33,18 @@ requires (see DESIGN.md §6 for the full story):
   advance, re-schedule — is one Python call per event.
 * **Lean heap entries.**  Canonical (non-fuzzed) runs store 3-tuples
   ``(time, seq, fn)``; only fuzzed runs pay for the 4-tuple with the
-  random tie-breaker.  Ordering is ``(time, seq)`` either way.
-* **Inline trampoline.**  When a task yields ``Delay(n)`` (or an
-  already-resolved :class:`Future`, which counts as ``n = 0``) and
-  every queued event is strictly later than ``now + n``, its
-  continuation would be the very next event — so the kernel advances
-  ``now`` in place and steps the generator again immediately (bounded
-  by ``_TRAMPOLINE_MAX``), skipping the heap round-trip.  Positive
-  delays are not inlined under ``run(until=...)`` or structured
-  tracing, where the heap path enforces the pause boundary / the
-  pinned ``task.step`` stream.  Ordering, cycle counts, and event
-  counts are exactly what the heap would have produced.
+  random tie-breaker.  Ordering is ``(time, seq)`` either way, and
+  the entry format is known to this module alone: every other layer
+  schedules through :meth:`Simulator.schedule`.
 * **Fail-fast flag.**  A task crash used to be detected by scanning
   every task after every event; now ``Future.fail`` on a task's
   ``done`` future records the first failure on the simulator directly.
 * **Pooled delays.**  ``Delay(n)`` for small ``n`` returns a shared
   immutable singleton, so the dominant yield type costs no allocation.
 
-Schedule fuzzing (``jitter_seed``) disables the trampoline: fuzzed
-runs draw one random tie-breaker per ``schedule`` call, and inlining
-would perturb that stream.  Fuzzed schedules therefore replay exactly
-as they always have.
+Every task continuation is one heap event, so canonical, fuzzed
+(``jitter_seed``), traced and paused (``run(until=...)``) runs all take
+the same dispatch path.
 """
 
 from __future__ import annotations
@@ -111,12 +102,6 @@ def _build_delay_pool(size: int) -> tuple:
 
 _DELAY_POOL_SIZE = 512
 _DELAY_POOL = _build_delay_pool(_DELAY_POOL_SIZE)
-
-#: Max generator steps taken inline before falling back to the queue.
-#: Purely a safety valve — inlining is only attempted when the queue
-#: has nothing at or before the resume time, so any bound preserves order.
-_TRAMPOLINE_MAX = 64
-
 
 def _retired_step(_value=None):
     """Stand-in ``gen.send`` for a retired task (see :meth:`Simulator.retire`).
@@ -182,7 +167,7 @@ class Task:
         self._obs_buf = sim._obs_buf
 
     def _step(self) -> None:
-        """Advance the generator one yield (plus inline trampolining).
+        """Advance the generator one yield and schedule its continuation.
 
         This is the entire per-event hot path — wait-value unpacking,
         ``gen.send``, and re-scheduling are merged into one call so an
@@ -196,11 +181,7 @@ class Task:
             exc = fut._exc
             value = None if exc is not None else fut._value
         sim = self._sim
-        send = self._send
-        resume = self._resume
         trace = sim._trace
-        queue = self._queue
-        jitter = self._jitter
         now = sim.now  # time cannot advance while a task is stepping
         obs = self._obs
         if obs is not None:
@@ -221,95 +202,69 @@ class Task:
             )
             buf.ctx_ts = now
         self.blocked_on = None
-        steps = _TRAMPOLINE_MAX
-        while True:
-            try:
-                item = send(value) if exc is None else self._throw(exc)
-            except StopIteration as stop:
-                if trace:
-                    trace(now, f"{self.name} finished")
-                if obs is not None:
-                    obs.emit(now, "task.finish", data=self.name)
-                self.done.resolve(stop.value)
-                return
-            except BaseException as err:  # task crashed: propagate via its future
-                if trace:
-                    trace(now, f"{self.name} raised {err!r}")
-                if obs is not None:
-                    obs.emit(now, "task.crash", data=f"{self.name}: {err!r}")
-                self.done.fail(err)
-                return
-            cls = item.__class__
-            if cls is not Delay and cls is not Future:
-                # Rare: a Delay/Future subclass, or an illegal yield.
-                if isinstance(item, Delay):
-                    cls = Delay
-                elif isinstance(item, Future):
-                    cls = Future
-                else:
-                    self.done.fail(
-                        SimulationError(
-                            f"task {self.name} yielded {item!r}; only Delay or Future "
-                            "may reach the kernel (use 'yield from' for sub-operations)"
-                        )
-                    )
-                    return
-            if cls is Delay:
-                cycles = item.cycles
-                if trace:
-                    trace(now, f"{self.name} delay {cycles}")
-                value = exc = None
-            elif item._value is not _UNSET or item._exc is not None:
-                # Already resolved: resume this cycle, but *after*
-                # already-queued events, so it never jumps the queue.
-                cycles = 0
-                exc = item._exc
-                value = None if exc is not None else item._value
-            else:
-                self.blocked_on = item
-                if trace:
-                    trace(now, f"{self.name} waits on {item.name}")
-                if obs is not None:
-                    # Pure observation: the span from this event to
-                    # the task's next ``task.step`` is exactly the
-                    # cycles spent blocked on ``item`` — the raw
-                    # material for cycle attribution (repro.obs.attrib
-                    # classifies the future's name into wait buckets).
-                    obs.emit(now, "task.block", data={"task": self.name, "on": item.name})
-                item._callbacks.append(self._wake)
-                return
-            if (
-                steps > 0
-                and jitter is None
-                and sim._failure is None
-                and (not queue or queue[0][0] > now + cycles)
-                and (cycles == 0 or (sim._until is None and obs is None))
-            ):
-                # The continuation is the sole next event (every queued
-                # event is strictly later than now + cycles), so advance
-                # simulated time here and keep stepping.  Event count
-                # and (time, seq) order are exactly what the heap
-                # round-trip would have produced.  Positive delays take
-                # the heap under run(until=...), which enforces the
-                # pause boundary, and with structured tracing on, so
-                # the pinned obs event stream (one ``task.step`` per
-                # kernel dispatch) is unchanged.
-                steps -= 1
-                sim.events += 1
-                sim.now = now = now + cycles
-                continue
-            # schedule(cycles, resume), inlined — one call per yield is
-            # a measurable share of the event loop.  Delay guarantees
-            # cycles >= 0, so the negative check is moot.
-            if cls is Future:
-                self._wait_fut = item
-            seq = sim._seq
-            sim._seq = seq + 1
-            if jitter is not None:
-                _heappush(queue, (now + cycles, jitter.random(), seq, resume))
-            else:
-                _heappush(queue, (now + cycles, seq, resume))
+        try:
+            item = self._send(value) if exc is None else self._throw(exc)
+        except StopIteration as stop:
+            if trace:
+                trace(now, f"{self.name} finished")
+            if obs is not None:
+                obs.emit(now, "task.finish", data=self.name)
+            self.done.resolve(stop.value)
             return
+        except BaseException as err:  # task crashed: propagate via its future
+            if trace:
+                trace(now, f"{self.name} raised {err!r}")
+            if obs is not None:
+                obs.emit(now, "task.crash", data=f"{self.name}: {err!r}")
+            self.done.fail(err)
+            return
+        cls = item.__class__
+        if cls is not Delay and cls is not Future:
+            # Rare: a Delay/Future subclass, or an illegal yield.
+            if isinstance(item, Delay):
+                cls = Delay
+            elif isinstance(item, Future):
+                cls = Future
+            else:
+                self.done.fail(
+                    SimulationError(
+                        f"task {self.name} yielded {item!r}; only Delay or Future "
+                        "may reach the kernel (use 'yield from' for sub-operations)"
+                    )
+                )
+                return
+        if cls is Delay:
+            cycles = item.cycles
+            if trace:
+                trace(now, f"{self.name} delay {cycles}")
+        elif item._value is not _UNSET or item._exc is not None:
+            # Already resolved: resume this cycle, but *after*
+            # already-queued events, so it never jumps the queue.
+            self._wait_fut = item
+            cycles = 0
+        else:
+            self.blocked_on = item
+            if trace:
+                trace(now, f"{self.name} waits on {item.name}")
+            if obs is not None:
+                # Pure observation: the span from this event to
+                # the task's next ``task.step`` is exactly the
+                # cycles spent blocked on ``item`` — the raw
+                # material for cycle attribution (repro.obs.attrib
+                # classifies the future's name into wait buckets).
+                obs.emit(now, "task.block", data={"task": self.name, "on": item.name})
+            item._callbacks.append(self._wake)
+            return
+        # schedule(cycles, resume), inlined — one call per yield is
+        # a measurable share of the event loop.  Delay guarantees
+        # cycles >= 0, so the negative check is moot.
+        seq = sim._seq
+        sim._seq = seq + 1
+        jitter = self._jitter
+        if jitter is not None:
+            _heappush(self._queue, (now + cycles, jitter.random(), seq, self._resume))
+        else:
+            _heappush(self._queue, (now + cycles, seq, self._resume))
 
     def _on_resolved(self, fut: Future) -> None:
         # Equivalent to sim.schedule(0, self._resume), inlined: future
@@ -352,7 +307,6 @@ class Simulator:
         "_jitter",
         "_obs",
         "_obs_buf",
-        "_until",
     )
 
     def __init__(
@@ -373,7 +327,7 @@ class Simulator:
         observation: event order and simulated cycles are bit-identical
         with and without it."""
         self.now: int = 0
-        self.events: int = 0  # events executed (queue pops + inline steps)
+        self.events: int = 0  # events executed (queue pops)
         # Heap of (time, seq, fn) — canonical runs — or
         # (time, jitter, seq, fn) under schedule fuzzing.  Both orders
         # reduce to (time, seq); fn is always entry[-1].
@@ -384,11 +338,6 @@ class Simulator:
         self._trace = trace
         self._running = False
         self._failure: BaseException | None = None
-        # Bound of the current run(until=...) call, or None.  The
-        # trampoline consults it: inlined time advances must not cross
-        # a pause boundary, so bounded runs always take the heap path
-        # for positive delays.
-        self._until: int | None = None
         self._jitter = random.Random(jitter_seed) if jitter_seed is not None else None
         # Per-layer tracer handle, or None: resolved once here so the
         # disabled path never probes or formats anything.  The buffer
@@ -510,7 +459,6 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        self._until = until
         queue = self._queue
         heappop = heapq.heappop
         fired = 0  # queue pops this run; folded into self.events on exit
@@ -534,7 +482,6 @@ class Simulator:
         finally:
             self.events += fired
             self._running = False
-            self._until = None
         if self._failure is not None:
             raise self._failure
         blocked = [t for t in self._tasks if t.blocked_on is not None]

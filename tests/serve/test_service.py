@@ -91,6 +91,20 @@ def _serve_modes(make_tracer=lambda: None):
             run_serve(SHIFT, controller=adaptive, n_procs=3, tracer=make_tracer()))
 
 
+#: SC on 3 procs under the canonical lossy plan: round trips go through
+#: the fault transport and its retry kit instead of Machine.rpc.
+LOSSY = ServeWorkload(
+    n_keys=16, n_shards=2, n_requests=256, batch=16, rate=60.0,
+    read_frac=0.9, shift_read_frac=None, think_cycles=5, seed=13,
+)
+
+
+def _lossy_run(tracer=None):
+    return run_serve(
+        LOSSY, protocol="SC", n_procs=3, fault_plan=FaultPlan.canonical(1), tracer=tracer
+    )
+
+
 def test_serving_is_untraced_by_default():
     for res, report in _serve_modes():
         assert res.machine.tracer is None
@@ -100,9 +114,13 @@ def test_serving_is_untraced_by_default():
         assert metrics["rpcs"] > 0 and "window" not in metrics
 
 
+def _windowed_tracer():
+    return TraceBuffer(capacity=1 << 10, metrics=MetricsWindow())
+
+
 def test_counter_metrics_equal_window_metrics():
-    plain = _serve_modes()
-    windowed = _serve_modes(lambda: TraceBuffer(capacity=1 << 10, metrics=MetricsWindow()))
+    plain = [*_serve_modes(), _lossy_run()]
+    windowed = [*_serve_modes(_windowed_tracer), _lossy_run(_windowed_tracer())]
     for (res, traced), (_, untraced) in zip(windowed, plain):
         assert res.machine.tracer is not None
         window = traced["metrics"]["window"]
@@ -130,12 +148,8 @@ def test_lossy_round_trips_are_counted():
     """Under a fault plan, RPCs go through the fault transport and its
     retry kit; each completed round trip still counts once on the
     machine, with its retries inside its stall."""
-    wl = ServeWorkload(
-        n_keys=16, n_shards=2, n_requests=256, batch=16, rate=60.0,
-        read_frac=0.9, shift_read_frac=None, think_cycles=5, seed=13,
-    )
-    _, clean = run_serve(wl, protocol="SC", n_procs=3)
-    _, lossy = run_serve(wl, protocol="SC", n_procs=3, fault_plan=FaultPlan.canonical(1))
+    _, clean = run_serve(LOSSY, protocol="SC", n_procs=3)
+    _, lossy = _lossy_run()
     clean, lossy = clean["metrics"], lossy["metrics"]
     assert lossy["rpcs"] > 0 and lossy["stall_fraction"] > 0
     assert lossy["stall"] / lossy["rpcs"] > clean["stall"] / clean["rpcs"]

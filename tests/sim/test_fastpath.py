@@ -1,9 +1,9 @@
 """Regression tests for the kernel fast path (DESIGN.md §6).
 
-The inline trampoline, pooled delays, and the pre-bound resume thunks
-are all pure optimizations: every test here pins an ordering or naming
-property that must hold with them exactly as it would with every
-event taking the heap.
+Pooled delays and pre-bound resume thunks are pure optimizations, and
+every task continuation is one heap event on every kind of run
+(canonical, fuzzed, traced, paused): each test here pins an ordering,
+counting or naming property of that one dispatch path.
 """
 
 import pytest
@@ -15,8 +15,8 @@ from repro.sim import Delay, Future, SimulationError, Simulator
 # ---------------------------------------------------------------- ordering
 def test_delay0_tasks_interleave_fifo():
     """Two tasks trading Delay(0)/Delay(1) steps interleave in spawn
-    order at every cycle — the trampoline may not let one task run
-    ahead while the other has an event pending at the same time."""
+    order at every cycle — no task may run ahead while the other has
+    an event pending at the same time."""
     sim = Simulator()
     order = []
 
@@ -99,19 +99,15 @@ def test_events_counter_counts_logical_events():
 
     sim.spawn(task(), name="t")
     sim.run()
-    # spawn event + three delay resumes, whether or not any of them
-    # were inlined by the trampoline.
+    # spawn event + three delay resumes, one heap event each.
     assert sim.events == 4
 
 
-# ---------------------------------------------------------------- trampoline gates
-def _task_steps(buf):
-    return sum(1 for e in buf.events() if e.kind == "task.step")
-
-
-def test_zero_delay_continuations_inline_under_tracing():
-    """A Delay(0) or an already-resolved future is inlined even with a
-    TraceBuffer attached: no extra ``task.step``, same event count."""
+# ---------------------------------------------------------------- one dispatch path
+def test_every_continuation_is_one_traced_dispatch():
+    """Each continuation — a Delay(0), an already-resolved future, a
+    positive delay — is one heap event, traced or not, so a traced
+    run shows exactly one ``task.step`` per kernel dispatch."""
     buf = TraceBuffer()
     sim = Simulator(tracer=buf)
     ready = Future(name="ready")
@@ -121,27 +117,12 @@ def test_zero_delay_continuations_inline_under_tracing():
         yield Delay(0)
         got = yield ready
         assert got == "v"
-
-    sim.spawn(task(), name="t")
-    assert sim.run() == 0
-    assert _task_steps(buf) == 1
-    assert sim.events == 3  # spawn + two inlined continuations
-
-
-def test_positive_delay_takes_the_heap_under_tracing():
-    """With a TraceBuffer, a positive delay is a kernel dispatch of its
-    own, so the pinned stream shows one ``task.step`` per delay."""
-    buf = TraceBuffer()
-    sim = Simulator(tracer=buf)
-
-    def task():
         yield Delay(5)
-        yield Delay(0)
 
     sim.spawn(task(), name="t")
     assert sim.run() == 5
-    assert _task_steps(buf) == 2
-    assert sim.events == 3
+    steps = sum(1 for e in buf.events() if e.kind == "task.step")
+    assert steps == sim.events == 4  # spawn + three continuations
 
 
 @pytest.mark.parametrize("traced", [False, True])
@@ -263,8 +244,8 @@ def test_run_until_resume_preserves_ordering():
 # ---------------------------------------------------------------- jitter
 def test_same_jitter_seed_is_deterministic():
     """Two fresh simulators with the same seed produce identical traces
-    and final times (the fast path is disabled under jitter and must
-    not perturb the seeded RNG stream)."""
+    and final times (one tie-breaker draw per scheduled event, so the
+    seeded RNG stream replays exactly)."""
 
     def run_once(seed):
         trace: list = []

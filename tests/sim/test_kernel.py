@@ -159,12 +159,11 @@ def test_join_on_task_done():
 
 
 def test_mixed_ring_and_heap_ordering():
-    """The inline trampoline must never jump ahead of queued work.
+    """A task's continuation never jumps ahead of queued work.
 
     Task a mixes zero-delay and nonzero-delay yields while task b holds
-    events in the heap at the same timestamps; the trampoline is only
-    legal when the heap's next event is strictly later than the resume
-    time, so the observed interleaving must match the plain queue
+    events in the heap at the same timestamps; every continuation is a
+    heap entry, so the observed interleaving is the plain queue
     discipline exactly (ties go to the event scheduled first).
     """
     sim = Simulator()

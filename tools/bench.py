@@ -5,8 +5,8 @@ Runs the paper workload suites (fig7a, fig7b, table4) end to end and
 records, per suite:
 
 * ``wall_s`` — wall-clock seconds for the whole suite;
-* ``events`` — kernel events executed (queue pops + inline trampoline
-  steps; see ``Simulator.events``), summed over the suite's runs;
+* ``events`` — kernel events executed (heap pops; see
+  ``Simulator.events``), summed over the suite's runs;
 * ``events_per_s`` — the headline throughput number;
 * ``rows`` — the simulated-cycle tables the suite produces, exactly as
   the experiments report them.  These must be bit-identical across
